@@ -28,14 +28,15 @@ linkcheck:
 	$(GO) run ./tools/linkcheck
 
 # Short fuzz passes over the parsers that face untrusted bytes: broker
-# topic patterns, journal segment records, replication frames, tuple
-# codecs, protocol envelopes. Ten seconds each is enough to catch
-# decoder regressions without stalling the gate; run
+# topic patterns, journal segment records, replication frames, brokerd
+# client requests, tuple codecs, protocol envelopes. Ten seconds each is
+# enough to catch decoder regressions without stalling the gate; run
 # `go test -fuzz <target> -fuzztime 10m <pkg>` for a real campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTopicMatch$$' -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecord$$' -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run '^$$' -fuzz '^FuzzReplFrame$$' -fuzztime $(FUZZTIME) ./internal/broker/replica
+	$(GO) test -run '^$$' -fuzz '^FuzzServerFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/tuple
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPair$$' -fuzztime $(FUZZTIME) ./internal/tuple
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalEnvelope$$' -fuzztime $(FUZZTIME) ./internal/protocol

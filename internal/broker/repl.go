@@ -182,7 +182,9 @@ func (f *FollowerLog) Reset() error {
 // Append applies one replicated record. Records at or below the last
 // applied LSN are ignored (duplicates from stream handoff); a
 // delete-queue record reclaims the topic's segments just as on the
-// leader.
+// leader. The record may stay in the segment write buffers until the
+// next Flush (or Close): a follower applying a burst appends each
+// record and flushes once before acknowledging the burst.
 func (f *FollowerLog) Append(rec ReplRecord) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -194,7 +196,7 @@ func (f *FollowerLog) Append(rec ReplRecord) error {
 	}
 	f.lastLSN = rec.LSN
 	if rec.Topic == "" {
-		if _, err := f.meta.append(rec.LSN, rec.Payload); err != nil {
+		if _, err := f.meta.write(rec.LSN, rec.Payload); err != nil {
 			return err
 		}
 		if len(rec.Payload) > 0 && rec.Payload[0] == recDeleteQueue {
@@ -220,11 +222,29 @@ func (f *FollowerLog) Append(rec ReplRecord) error {
 		tl = newTopicLog(sl)
 		f.topics[key] = tl
 	}
-	segID, err := tl.log.append(rec.LSN, rec.Payload)
+	segID, err := tl.log.write(rec.LSN, rec.Payload)
 	if err != nil {
 		return err
 	}
 	tl.track(rec.Payload, segID)
+	return nil
+}
+
+// Flush writes every buffered record through to the segment files.
+func (f *FollowerLog) Flush() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return ErrClosed
+	}
+	if err := f.meta.flush(); err != nil {
+		return err
+	}
+	for _, tl := range f.topics {
+		if err := tl.log.flush(); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -17,10 +17,18 @@ import (
 //	                     rRecord(lsn, topic, payload) ...  — snapshot, then live
 //	                     rSnapEnd(lsn)                     — snapshot boundary
 //	                     rHeart(term, commitLSN)           — lease refresh
-//	follower → leader:  rAck(lsn)                          — per applied record
+//	follower → leader:  rAck(lsn)                          — highest applied LSN, cumulative
 //	anyone   → anyone:  rNotLeader(term)                   — refusal, try elsewhere
 //	candidate → peer:   rVoteReq(term, candidateID, lastLSN)
 //	peer → candidate:   rVoteResp(term, granted)
+//
+// The stream is batched in both directions. The leader writes every
+// record already queued for a follower in one socket write, so several
+// rRecord frames may share one write (and one read). The follower
+// applies everything it has buffered, flushes its segment files once,
+// and only then sends a single rAck for the highest LSN applied; that
+// ack covers every lower LSN, which is how the leader's quorum count
+// reads it.
 const (
 	rJoin byte = iota + 64
 	rWelcome
@@ -57,8 +65,11 @@ func appendBlob(dst, b []byte) []byte {
 
 // encodeFrame serializes f into a wire payload (without the length
 // prefix; the caller hands it to wire.WriteFrame).
-func encodeFrame(f frame) []byte {
-	out := []byte{f.Op}
+func encodeFrame(f frame) []byte { return appendFrame(nil, f) }
+
+// appendFrame appends f's payload encoding to out.
+func appendFrame(out []byte, f frame) []byte {
+	out = append(out, f.Op)
 	switch f.Op {
 	case rJoin, rVoteReq:
 		out = appendStr(out, f.ID)

@@ -18,6 +18,7 @@ package replica
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -134,11 +135,22 @@ type Node struct {
 	conns      map[net.Conn]struct{}
 	stopped    bool
 
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
-	rng      *rand.Rand
-	probeIdx int
+	stopCh    chan struct{}
+	wg        sync.WaitGroup
+	rng       *rand.Rand
+	probeIdx  int
+	tapBuffer int // records a follower's replication tap may fall behind
 }
+
+// Stream batching bounds. A leader writes at most maxStreamBurst
+// records per socket write; a follower reads through a buffer sized to
+// hold a typical burst, so one read usually yields the whole burst
+// and one ack covers it.
+const (
+	maxStreamBurst   = 256
+	streamReadBuffer = 32 << 10
+	defaultTapBuffer = 4096
+)
 
 // NewNode validates cfg, fills defaults, and returns an idle node.
 func NewNode(cfg Config) (*Node, error) {
@@ -191,6 +203,7 @@ func NewNode(cfg Config) (*Node, error) {
 		conns:       make(map[net.Conn]struct{}),
 		stopCh:      make(chan struct{}),
 		rng:         rand.New(rand.NewSource(seed)),
+		tapBuffer:   defaultTapBuffer,
 	}
 	n.ackCond = sync.NewCond(&n.mu)
 	if cfg.Quorum <= 0 {
@@ -515,7 +528,7 @@ func (n *Node) joinAndStream(conn net.Conn) bool {
 	if err := n.writeConnFrame(conn, frame{Op: rJoin, ID: n.cfg.ID, Term: term, LSN: last}); err != nil {
 		return false
 	}
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, streamReadBuffer)
 	conn.SetReadDeadline(time.Now().Add(2 * n.cfg.LeaseTimeout))
 	payload, err := wire.ReadFrame(br)
 	if err != nil {
@@ -547,9 +560,13 @@ func (n *Node) joinAndStream(conn net.Conn) bool {
 }
 
 // streamFrom wipes the local log and mirrors the leader: snapshot
-// records, the snapshot boundary, then live records, acking each. A
-// lease-length silence, a stale-term heartbeat, or any error ends the
-// session. Reports whether at least one frame arrived.
+// records, the snapshot boundary, then live records. Records are
+// applied as they are read; once no complete frame is left in the read
+// buffer, the segment files are flushed and one cumulative ack goes out
+// for the highest LSN applied — never before the flush, and never
+// delayed by a timer. A lease-length silence, a stale-term heartbeat,
+// or any error ends the session. Reports whether at least one frame
+// arrived.
 func (n *Node) streamFrom(conn net.Conn, br *bufio.Reader, leaderID string) bool {
 	n.mu.Lock()
 	fl := n.flog
@@ -564,15 +581,30 @@ func (n *Node) streamFrom(conn net.Conn, br *bufio.Reader, leaderID string) bool
 	n.count("replica.resyncs")
 	n.logf("replica %s: syncing from leader %s", n.cfg.ID, leaderID)
 	received := false
+	var buf []byte
+	unacked := false // records or a snapshot boundary applied but not yet acked
+	var ackLSN uint64
 	for {
 		if n.isStopped() {
 			return received
 		}
+		if unacked && !frameBuffered(br) {
+			if err := fl.Flush(); err != nil {
+				n.logf("replica %s: flushing through lsn %d: %v", n.cfg.ID, ackLSN, err)
+				return received
+			}
+			if err := n.writeConnFrame(conn, frame{Op: rAck, LSN: ackLSN}); err != nil {
+				return received
+			}
+			n.count("replica.acks_sent")
+			unacked = false
+		}
 		conn.SetReadDeadline(time.Now().Add(n.cfg.LeaseTimeout))
-		payload, err := wire.ReadFrame(br)
+		payload, err := wire.ReadFrameInto(br, buf)
 		if err != nil {
 			return received
 		}
+		buf = payload
 		f, err := decodeFrame(payload)
 		if err != nil {
 			return received
@@ -585,14 +617,12 @@ func (n *Node) streamFrom(conn net.Conn, br *bufio.Reader, leaderID string) bool
 				return received
 			}
 			n.count("replica.records_applied")
-			if err := n.writeConnFrame(conn, frame{Op: rAck, LSN: f.LSN}); err != nil {
-				return received
-			}
+			unacked = true
+			ackLSN = max(ackLSN, f.LSN)
 		case rSnapEnd:
 			// Ack the boundary so an empty snapshot still counts us in.
-			if err := n.writeConnFrame(conn, frame{Op: rAck, LSN: f.LSN}); err != nil {
-				return received
-			}
+			unacked = true
+			ackLSN = max(ackLSN, f.LSN)
 		case rHeart:
 			n.mu.Lock()
 			stale := f.Term < n.term
@@ -889,7 +919,7 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 		n.dropConn(conn)
 		return
 	}
-	snap, tap, cancel, err := b.ReplSubscribe(4096)
+	snap, tap, cancel, err := b.ReplSubscribe(n.tapBuffer)
 	if err != nil {
 		n.dropConn(conn)
 		return
@@ -915,36 +945,24 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		br := bufio.NewReader(conn)
-		for {
-			payload, err := wire.ReadFrame(br)
-			if err != nil {
-				conn.Close()
-				return
-			}
-			f, err := decodeFrame(payload)
-			if err != nil || f.Op != rAck {
-				conn.Close()
-				return
-			}
-			n.mu.Lock()
-			if f.LSN > fs.acked {
-				fs.acked = f.LSN
-			}
-			n.mu.Unlock()
-			n.ackCond.Broadcast()
-		}
+		n.readAcks(conn, fs)
 	}()
 
+	var out []byte // burst buffer, reused across writes
 	var snapMax uint64
-	for _, rec := range snap {
-		if rec.LSN > snapMax {
-			snapMax = rec.LSN
+	for len(snap) > 0 {
+		burst := snap[:min(len(snap), maxStreamBurst)]
+		snap = snap[len(burst):]
+		out = out[:0]
+		for _, rec := range burst {
+			snapMax = max(snapMax, rec.LSN)
+			if out, err = appendRecord(out, rec); err != nil {
+				return
+			}
 		}
-		if err := n.writeConnFrame(conn, frame{Op: rRecord, LSN: rec.LSN, Topic: rec.Topic, Payload: rec.Payload}); err != nil {
+		if err := n.writeBurst(conn, out, len(burst)); err != nil {
 			return
 		}
-		n.count("replica.records_streamed")
 	}
 	if err := n.writeConnFrame(conn, frame{Op: rSnapEnd, LSN: snapMax}); err != nil {
 		return
@@ -954,16 +972,25 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 	for {
 		select {
 		case rec, open := <-tap:
+			records := 0
+			if open {
+				out, records, open, err = appendBurst(out[:0], rec, tap)
+				if err != nil {
+					return
+				}
+			}
 			if !open {
 				// The follower fell too far behind the tap; drop the
 				// session so it reconnects and takes a fresh snapshot.
 				n.logf("replica %s: follower %s overran the stream buffer", n.cfg.ID, join.ID)
 				return
 			}
-			if err := n.writeConnFrame(conn, frame{Op: rRecord, LSN: rec.LSN, Topic: rec.Topic, Payload: rec.Payload}); err != nil {
+			if err := n.writeBurst(conn, out, records); err != nil {
 				return
 			}
-			n.count("replica.records_streamed")
+			if cap(out) > maxRetainedBurst {
+				out = nil
+			}
 		case <-ticker.C:
 			n.mu.Lock()
 			still := !n.stopped && n.roleVal == Leader && n.term == term
@@ -978,6 +1005,90 @@ func (n *Node) serveFollower(conn net.Conn, join frame) {
 			return
 		}
 	}
+}
+
+// readAcks folds a follower's acks into its quorum position until the
+// connection fails. Acks are cumulative: one ack releases every publish
+// waiting on an LSN at or below it.
+func (n *Node) readAcks(conn net.Conn, fs *followerState) {
+	br := bufio.NewReader(conn)
+	var buf []byte
+	for {
+		payload, err := wire.ReadFrameInto(br, buf)
+		if err != nil {
+			conn.Close()
+			return
+		}
+		buf = payload
+		f, err := decodeFrame(payload)
+		if err != nil || f.Op != rAck {
+			conn.Close()
+			return
+		}
+		n.mu.Lock()
+		if f.LSN > fs.acked {
+			fs.acked = f.LSN
+		}
+		n.mu.Unlock()
+		n.ackCond.Broadcast()
+	}
+}
+
+// maxRetainedBurst caps the burst buffer a session keeps between
+// writes; a rare oversized burst's buffer is dropped instead.
+const maxRetainedBurst = 64 << 10
+
+// appendRecord appends rec to out as one complete rRecord frame.
+func appendRecord(out []byte, rec broker.ReplRecord) ([]byte, error) {
+	out, start := wire.StartFrame(out)
+	out = appendFrame(out, frame{Op: rRecord, LSN: rec.LSN, Topic: rec.Topic, Payload: rec.Payload})
+	return out, wire.EndFrame(out, start)
+}
+
+// appendBurst encodes rec and then every record already queued on tap,
+// up to maxStreamBurst in all, as rRecord frames onto out. It never
+// waits for a record: a lone record makes a burst of one. It reports
+// how many records it encoded and whether the tap is still open.
+func appendBurst(out []byte, rec broker.ReplRecord, tap <-chan broker.ReplRecord) ([]byte, int, bool, error) {
+	out, err := appendRecord(out, rec)
+	records := 1
+	for records < maxStreamBurst && err == nil {
+		select {
+		case rec, open := <-tap:
+			if !open {
+				return out, records, false, nil
+			}
+			out, err = appendRecord(out, rec)
+			records++
+		default:
+			return out, records, true, nil
+		}
+	}
+	return out, records, true, err
+}
+
+// writeBurst sends a burst of whole rRecord frames in one write, under
+// the same bounded deadline as writeConnFrame.
+func (n *Node) writeBurst(conn net.Conn, frames []byte, records int) error {
+	conn.SetWriteDeadline(time.Now().Add(2 * n.cfg.LeaseTimeout))
+	_, err := conn.Write(frames)
+	conn.SetWriteDeadline(time.Time{})
+	if err != nil {
+		return err
+	}
+	n.countN("replica.records_streamed", int64(records))
+	n.count("replica.stream_writes")
+	return nil
+}
+
+// frameBuffered reports whether br already holds a complete frame, so
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
 // --- connection bookkeeping and small helpers ---
@@ -1011,9 +1122,11 @@ func (n *Node) writeConnFrame(conn net.Conn, f frame) error {
 
 func (n *Node) logf(format string, args ...any) { n.cfg.Logf(format, args...) }
 
-func (n *Node) count(name string) {
+func (n *Node) count(name string) { n.countN(name, 1) }
+
+func (n *Node) countN(name string, v int64) {
 	if n.cfg.Metrics != nil {
-		n.cfg.Metrics.Counter(name).Inc()
+		n.cfg.Metrics.Counter(name).Add(v)
 	}
 }
 

@@ -100,6 +100,24 @@ func (l *segLog) segPath(id uint64) string {
 // landed in. The write is flushed to the OS before returning, matching
 // the old journal's flush-per-record durability.
 func (l *segLog) append(lsn uint64, rec []byte) (uint64, error) {
+	id, err := l.write(lsn, rec)
+	if err != nil {
+		return 0, err
+	}
+	return id, l.flush()
+}
+
+// flush hands the buffered tail of the active segment to the OS.
+func (l *segLog) flush() error {
+	if l.w == nil {
+		return nil
+	}
+	return l.w.Flush()
+}
+
+// write is append without the flush: the record may sit in the segment
+// buffer until the next flush, rollover or close.
+func (l *segLog) write(lsn uint64, rec []byte) (uint64, error) {
 	if l.f != nil && l.size >= l.max {
 		l.w.Flush()
 		l.f.Close()
@@ -121,8 +139,7 @@ func (l *segLog) append(lsn uint64, rec []byte) (uint64, error) {
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, segCRC))
 	l.w.Write(hdr[:])
-	l.w.Write(payload)
-	if err := l.w.Flush(); err != nil {
+	if _, err := l.w.Write(payload); err != nil {
 		return 0, err
 	}
 	l.size += int64(len(hdr) + len(payload))

@@ -261,3 +261,35 @@ drainTap:
 		t.Errorf("promoted LSN %d regressed below leader %d", promoted.LastLSN(), leaderLSN)
 	}
 }
+
+// TestFollowerLogFlushMakesBurstDurable: appended records reach the
+// segment files on Flush, so a second reader of the directory sees the
+// whole burst while the writer is still open.
+func TestFollowerLogFlushMakesBurstDurable(t *testing.T) {
+	dir := t.TempDir()
+	f, err := OpenFollowerLog(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for lsn := uint64(1); lsn <= 20; lsn++ {
+		topic := ""
+		if lsn%2 == 0 {
+			topic = "q"
+		}
+		if err := f.Append(ReplRecord{LSN: lsn, Topic: topic, Payload: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	g, err := OpenFollowerLog(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if got := g.LastLSN(); got != 20 {
+		t.Fatalf("reopened log ends at lsn %d; want the flushed burst's 20", got)
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"bistream/internal/broker"
 	"bistream/internal/broker/replica"
+	"bistream/internal/metrics"
 	"bistream/internal/wire"
 )
 
@@ -62,6 +63,10 @@ type BrokerFailResult struct {
 	ReplMsgsPerSec float64
 	// ReplicationCost is SoloMsgsPerSec / ReplMsgsPerSec.
 	ReplicationCost float64
+	// RecordsPerWrite and RecordsPerAck show the replication stream's
+	// batching during the replicated phase: records the leader streamed
+	// per socket write, and records the followers applied per ack.
+	RecordsPerWrite, RecordsPerAck float64
 	// FailoverPauseMS is the client-observed unavailability: leader
 	// cold-killed mid-traffic until the first publish acked by the
 	// promoted leader.
@@ -76,8 +81,10 @@ type BrokerFailResult struct {
 }
 
 // startReplicaGroup brings up size nodes with distinct on-disk dirs and
-// returns them with their client addresses. Callers own Kill.
-func startReplicaGroup(cfg BrokerFailConfig, size, quorum int) ([]*replica.Node, []string, error) {
+// returns them with their client addresses. The nodes share reg (nil
+// for none), so its replica.* counters sum over the group. Callers own
+// Kill.
+func startReplicaGroup(cfg BrokerFailConfig, size, quorum int, reg *metrics.Registry) ([]*replica.Node, []string, error) {
 	peers := make(map[string]string, size)
 	ids := make([]string, 0, size)
 	for i := 0; i < size; i++ {
@@ -108,6 +115,7 @@ func startReplicaGroup(cfg BrokerFailConfig, size, quorum int) ([]*replica.Node,
 			HeartbeatInterval: cfg.HeartbeatInterval,
 			LeaseTimeout:      cfg.LeaseTimeout,
 			Seed:              cfg.Seed*100 + int64(i+1),
+			Metrics:           reg,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -170,7 +178,7 @@ func RunBrokerFail(cfg BrokerFailConfig) (*BrokerFailResult, error) {
 	res := &BrokerFailResult{}
 
 	// Phase 1: solo baseline — one node, quorum 1, no replication.
-	solo, soloAddrs, err := startReplicaGroup(cfg, 1, 1)
+	solo, soloAddrs, err := startReplicaGroup(cfg, 1, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +199,8 @@ func RunBrokerFail(cfg BrokerFailConfig) (*BrokerFailResult, error) {
 	}
 
 	// Phase 2: replicated throughput — every publish gated on quorum.
-	nodes, addrs, err := startReplicaGroup(cfg, cfg.Nodes, cfg.Quorum)
+	reg := metrics.NewRegistry()
+	nodes, addrs, err := startReplicaGroup(cfg, cfg.Nodes, cfg.Quorum, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -218,6 +227,16 @@ func RunBrokerFail(cfg BrokerFailConfig) (*BrokerFailResult, error) {
 	}
 	if res.ReplMsgsPerSec > 0 {
 		res.ReplicationCost = res.SoloMsgsPerSec / res.ReplMsgsPerSec
+	}
+	streamed, _ := reg.Value("replica.records_streamed")
+	writes, _ := reg.Value("replica.stream_writes")
+	applied, _ := reg.Value("replica.records_applied")
+	acks, _ := reg.Value("replica.acks_sent")
+	if writes > 0 {
+		res.RecordsPerWrite = streamed / writes
+	}
+	if acks > 0 {
+		res.RecordsPerAck = applied / acks
 	}
 
 	// Phase 3: cold-kill the leader mid-traffic and time the outage as
@@ -279,6 +298,8 @@ func FormatBrokerFail(res *BrokerFailResult, cfg BrokerFailConfig) string {
 	fmt.Fprintf(&b, "publish throughput, %d-node group at quorum %d:    %.0f msgs/s\n",
 		cfg.Nodes, cfg.Quorum, res.ReplMsgsPerSec)
 	fmt.Fprintf(&b, "replication cost factor:                          %.2fx\n", res.ReplicationCost)
+	fmt.Fprintf(&b, "replication batching:                             %.1f records/write, %.1f records/ack\n",
+		res.RecordsPerWrite, res.RecordsPerAck)
 	fmt.Fprintf(&b, "leader %s cold-killed; %s promoted (term %d)\n",
 		res.KilledID, res.PromotedID, res.PromotedTerm)
 	fmt.Fprintf(&b, "client-observed failover pause:                   %.1f ms\n", res.FailoverPauseMS)

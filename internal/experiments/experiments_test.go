@@ -464,6 +464,10 @@ func TestRunBrokerFail(t *testing.T) {
 	if res.FailoverPauseMS <= 0 {
 		t.Fatalf("failover pause not measured: %+v", res)
 	}
+	// Every stream write carries at least one record; acks are counted.
+	if res.RecordsPerWrite < 1 || res.RecordsPerAck <= 0 {
+		t.Fatalf("replication batching not measured: %+v", res)
+	}
 	if res.PromotedID == res.KilledID || res.PromotedID == "" {
 		t.Fatalf("promotion did not happen: %+v", res)
 	}

@@ -79,20 +79,9 @@ func MigrateQueue(rel tuple.Relation, origin int32, attempt uint64) string {
 
 // Declare creates the shared exchanges and the entry queue. It is
 // idempotent; every service calls it at startup so processes may come
-// up in any order.
+// up in any order. The entry exchange comes last: once a producer can
+// publish to it, every other shared exchange already exists.
 func Declare(client broker.Client) error {
-	if err := client.DeclareExchange(EntryExchange, broker.Topic); err != nil {
-		return err
-	}
-	// The entry queue is durable (the binder's durable consumer-group
-	// subscription): tuples published while no router is up survive a
-	// durable broker's restart.
-	if err := client.DeclareQueue(EntryQueue, broker.QueueOptions{Durable: true}); err != nil {
-		return err
-	}
-	if err := client.Bind(EntryQueue, EntryExchange, EntryKey); err != nil {
-		return err
-	}
 	for _, rel := range []tuple.Relation{tuple.R, tuple.S} {
 		if err := client.DeclareExchange(StoreExchange(rel), broker.Topic); err != nil {
 			return err
@@ -104,5 +93,17 @@ func Declare(client broker.Client) error {
 	if err := client.DeclareExchange(ResultExchange, broker.Topic); err != nil {
 		return err
 	}
-	return client.DeclareExchange(MigrateExchange, broker.Topic)
+	if err := client.DeclareExchange(MigrateExchange, broker.Topic); err != nil {
+		return err
+	}
+	if err := client.DeclareExchange(EntryExchange, broker.Topic); err != nil {
+		return err
+	}
+	// The entry queue is durable (the binder's durable consumer-group
+	// subscription): tuples published while no router is up survive a
+	// durable broker's restart.
+	if err := client.DeclareQueue(EntryQueue, broker.QueueOptions{Durable: true}); err != nil {
+		return err
+	}
+	return client.Bind(EntryQueue, EntryExchange, EntryKey)
 }

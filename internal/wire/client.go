@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,6 +81,9 @@ type Config struct {
 // Config. Deliveries received over a connection that subsequently died
 // are dropped from consumer buffers (the server requeued them), and
 // settling one that was already handed out fails with ErrStaleDelivery.
+// After a reconnect, application calls wait until the recorded
+// topology and consumers have been replayed onto the new connection,
+// so no publish or ack reaches a half-restored broker.
 type Client struct {
 	cfg Config
 	gen atomic.Uint64 // connection generation, bumped per (re)connect
@@ -88,11 +92,11 @@ type Client struct {
 	disconnects       *metrics.Counter
 	heartbeatTimeouts *metrics.Counter
 
-	writeMu sync.Mutex // serializes frames onto the socket
-
 	mu        sync.Mutex
-	conn      net.Conn // nil while disconnected
-	addrIdx   int      // index into cfg.Addrs of the live/last address
+	conn      net.Conn      // nil while disconnected
+	out       *frameWriter  // coalescing writer of conn
+	restoring chan struct{} // non-nil while replay runs; closed when it ends
+	addrIdx   int           // index into cfg.Addrs of the live/last address
 	rng       *rand.Rand
 	lastRead  time.Time
 	nextReq   uint64
@@ -171,7 +175,7 @@ func Connect(cfg Config) (*Client, error) {
 	for {
 		conn, err := c.dialAny()
 		if err == nil {
-			c.install(conn)
+			c.install(conn, false)
 			break
 		}
 		if !cfg.Reconnect {
@@ -287,10 +291,18 @@ func minDuration(a, b time.Duration) time.Duration {
 }
 
 // install makes conn the live connection and starts its read loop.
-func (c *Client) install(conn net.Conn) {
+// With restore it also opens the replay gate: application calls wait
+// on the returned channel until endRestore closes it.
+func (c *Client) install(conn net.Conn, restore bool) chan struct{} {
 	gen := c.gen.Add(1)
+	var gate chan struct{}
+	if restore {
+		gate = make(chan struct{})
+	}
 	c.mu.Lock()
 	c.conn = conn
+	c.out = newFrameWriter(conn)
+	c.restoring = gate
 	c.lastRead = time.Now()
 	cons := make([]*remoteConsumer, 0, len(c.consumers))
 	for _, rc := range c.consumers {
@@ -305,6 +317,17 @@ func (c *Client) install(conn net.Conn) {
 	}
 	c.connects.Inc()
 	go c.readLoop(conn, gen)
+	return gate
+}
+
+// endRestore releases the application calls held by a replay gate.
+func (c *Client) endRestore(gate chan struct{}) {
+	c.mu.Lock()
+	if c.restoring == gate {
+		c.restoring = nil
+	}
+	c.mu.Unlock()
+	close(gate)
 }
 
 // Close drops the connection and stops any reconnecting; outstanding
@@ -338,9 +361,10 @@ func (c *Client) Connected() bool {
 
 func (c *Client) readLoop(conn net.Conn, gen uint64) {
 	var err error
+	br := bufio.NewReader(conn)
+	var frame []byte
 	for {
-		var frame []byte
-		frame, err = readFrame(conn)
+		frame, err = readFrameInto(br, frame)
 		if err != nil {
 			break
 		}
@@ -419,33 +443,38 @@ func (c *Client) reconnectLoop() {
 			return
 		}
 		c.mu.Unlock()
-		c.install(conn)
+		gate := c.install(conn, true)
 		c.cfg.Logf("wire: reconnected to %s", conn.RemoteAddr())
-		c.replay()
+		c.replay(conn)
+		c.endRestore(gate)
 		return
 	}
 }
 
 // replay re-declares the recorded topology and re-attaches consumers on
-// the current connection. Errors are logged, not fatal: a replay cut
-// short by another disconnect is retried by the next reconnect.
-func (c *Client) replay() {
+// conn, bypassing the replay gate that holds application calls. Errors
+// are logged, not fatal: a replay cut short by another disconnect is
+// retried by the next reconnect. Consumers whose first attach has not
+// completed are left to it, so none is attached twice.
+func (c *Client) replay(conn net.Conn) {
 	c.mu.Lock()
 	topo := append([]topoRecord(nil), c.topo...)
 	cons := make([]*remoteConsumer, 0, len(c.consumers))
 	for _, rc := range c.consumers {
-		cons = append(cons, rc)
+		if rc.attached.Load() {
+			cons = append(cons, rc)
+		}
 	}
 	c.mu.Unlock()
 	for _, rec := range topo {
 		var err error
 		switch rec.op {
 		case 'e':
-			err = c.declareExchange(rec.name, rec.kind, false)
+			err = c.declareExchange(rec.name, rec.kind, conn)
 		case 'q':
-			err = c.declareQueue(rec.name, rec.opts, false)
+			err = c.declareQueue(rec.name, rec.opts, conn)
 		case 'b':
-			err = c.bind(rec.queue, rec.name, rec.key, false)
+			err = c.bind(rec.queue, rec.name, rec.key, conn)
 		}
 		if err != nil {
 			c.cfg.Logf("wire: topology replay: %v", err)
@@ -453,7 +482,7 @@ func (c *Client) replay() {
 		}
 	}
 	for _, rc := range cons {
-		if err := c.attach(rc); err != nil {
+		if err := c.attach(rc, conn); err != nil {
 			c.cfg.Logf("wire: consumer re-attach (queue %s): %v", rc.queue, err)
 			return
 		}
@@ -605,29 +634,47 @@ func remoteError(msg string) error {
 	return errors.New(msg)
 }
 
-// call sends a request frame and waits for its correlated response.
+// call sends an application request frame and waits for its
+// correlated response; see callOn.
+func (c *Client) call(payload []byte, reqID uint64) (response, error) {
+	return c.callOn(payload, reqID, nil)
+}
+
+// callOn sends a request frame and waits for its correlated response.
 // With no live connection it fails fast with ErrConnLost instead of
 // hanging; the pending entry is registered while holding the lock that
 // connLost drains under, so the response channel is always completed.
-func (c *Client) call(payload []byte, reqID uint64) (response, error) {
+// A nil via marks an application call, which waits out a replay in
+// progress; replay passes its own connection and fails with
+// ErrConnLost once that is no longer the live one.
+func (c *Client) callOn(payload []byte, reqID uint64, via net.Conn) (response, error) {
 	ch := make(chan response, 1)
 	c.mu.Lock()
-	if c.closed {
+	for {
+		if c.closed {
+			c.mu.Unlock()
+			return response{}, ErrClientClosed
+		}
+		if c.conn == nil || (via != nil && c.conn != via) {
+			c.mu.Unlock()
+			return response{}, ErrConnLost
+		}
+		if via != nil || c.restoring == nil {
+			break
+		}
+		gate := c.restoring
 		c.mu.Unlock()
-		return response{}, ErrClientClosed
+		select {
+		case <-gate:
+		case <-c.closeCh:
+		}
+		c.mu.Lock()
 	}
-	conn := c.conn
-	if conn == nil {
-		c.mu.Unlock()
-		return response{}, ErrConnLost
-	}
+	out := c.out
 	c.pending[reqID] = ch
 	c.mu.Unlock()
 
-	c.writeMu.Lock()
-	err := writeFrame(conn, payload)
-	c.writeMu.Unlock()
-	if err != nil {
+	if err := out.send(payload); err != nil {
 		c.mu.Lock()
 		delete(c.pending, reqID)
 		c.mu.Unlock()
@@ -647,7 +694,11 @@ func (c *Client) newRequest(op byte) ([]byte, uint64) {
 }
 
 func (c *Client) simpleCall(payload []byte, id uint64) error {
-	resp, err := c.call(payload, id)
+	return c.simpleCallOn(payload, id, nil)
+}
+
+func (c *Client) simpleCallOn(payload []byte, id uint64, via net.Conn) error {
+	resp, err := c.callOn(payload, id, via)
 	if err != nil {
 		return err
 	}
@@ -668,15 +719,18 @@ func (c *Client) record(rec topoRecord) {
 
 // DeclareExchange implements broker.Client.
 func (c *Client) DeclareExchange(name string, kind broker.ExchangeKind) error {
-	return c.declareExchange(name, kind, true)
+	return c.declareExchange(name, kind, nil)
 }
 
-func (c *Client) declareExchange(name string, kind broker.ExchangeKind, remember bool) error {
+// declareExchange, declareQueue and bind record the operation for
+// replay when issued by the application (via == nil); replay passes
+// its connection instead.
+func (c *Client) declareExchange(name string, kind broker.ExchangeKind, via net.Conn) error {
 	payload, id := c.newRequest(opDeclareExchange)
 	payload = appendString(payload, name)
 	payload = append(payload, byte(kind))
-	err := c.simpleCall(payload, id)
-	if err == nil && remember && c.cfg.Reconnect {
+	err := c.simpleCallOn(payload, id, via)
+	if err == nil && via == nil && c.cfg.Reconnect {
 		c.record(topoRecord{op: 'e', name: name, kind: kind})
 	}
 	return err
@@ -684,18 +738,18 @@ func (c *Client) declareExchange(name string, kind broker.ExchangeKind, remember
 
 // DeclareQueue implements broker.Client.
 func (c *Client) DeclareQueue(name string, opts broker.QueueOptions) error {
-	return c.declareQueue(name, opts, true)
+	return c.declareQueue(name, opts, nil)
 }
 
-func (c *Client) declareQueue(name string, opts broker.QueueOptions, remember bool) error {
+func (c *Client) declareQueue(name string, opts broker.QueueOptions, via net.Conn) error {
 	payload, id := c.newRequest(opDeclareQueue)
 	payload = appendString(payload, name)
 	payload = append(payload, boolByte(opts.AutoDelete))
 	payload = binary.AppendUvarint(payload, uint64(opts.MaxLen))
 	payload = append(payload, boolByte(opts.Durable))
 	payload = binary.AppendUvarint(payload, uint64(opts.MaxRedeliver+1))
-	err := c.simpleCall(payload, id)
-	if err == nil && remember && c.cfg.Reconnect {
+	err := c.simpleCallOn(payload, id, via)
+	if err == nil && via == nil && c.cfg.Reconnect {
 		c.record(topoRecord{op: 'q', name: name, opts: opts})
 	}
 	return err
@@ -723,16 +777,16 @@ func (c *Client) DeleteQueue(name string) error {
 
 // Bind implements broker.Client.
 func (c *Client) Bind(queue, exchange, routingKey string) error {
-	return c.bind(queue, exchange, routingKey, true)
+	return c.bind(queue, exchange, routingKey, nil)
 }
 
-func (c *Client) bind(queue, exchange, routingKey string, remember bool) error {
+func (c *Client) bind(queue, exchange, routingKey string, via net.Conn) error {
 	payload, id := c.newRequest(opBind)
 	payload = appendString(payload, queue)
 	payload = appendString(payload, exchange)
 	payload = appendString(payload, routingKey)
-	err := c.simpleCall(payload, id)
-	if err == nil && remember && c.cfg.Reconnect {
+	err := c.simpleCallOn(payload, id, via)
+	if err == nil && via == nil && c.cfg.Reconnect {
 		c.record(topoRecord{op: 'b', queue: queue, name: exchange, key: routingKey})
 	}
 	return err
@@ -766,31 +820,28 @@ func (c *Client) Consume(queue string, prefetch int, autoAck bool) (broker.Consu
 	c.consumers[consID] = rc
 	c.mu.Unlock()
 
-	if err := c.attach(rc); err != nil {
+	if err := c.attach(rc, nil); err != nil {
 		c.mu.Lock()
 		delete(c.consumers, consID)
 		c.mu.Unlock()
 		rc.finish()
 		return nil, err
 	}
+	rc.attached.Store(true)
 	return rc, nil
 }
 
-// attach sends the Consume request for rc on the current connection;
-// used both for the initial subscription and for re-attachment after a
-// reconnect (same consumer id, so in-flight deliveries keep routing to
-// the same channel).
-func (c *Client) attach(rc *remoteConsumer) error {
+// attach sends the Consume request for rc; used both for the initial
+// subscription (via == nil) and for re-attachment by replay on its
+// connection (same consumer id, so in-flight deliveries keep routing
+// to the same channel).
+func (c *Client) attach(rc *remoteConsumer, via net.Conn) error {
 	payload, id := c.newRequest(opConsume)
 	payload = binary.LittleEndian.AppendUint64(payload, rc.id)
 	payload = appendString(payload, rc.queue)
 	payload = binary.AppendUvarint(payload, uint64(rc.prefetch))
 	payload = append(payload, boolByte(rc.autoAck))
-	resp, err := c.call(payload, id)
-	if err == nil && resp.err != nil {
-		err = resp.err
-	}
-	return err
+	return c.simpleCallOn(payload, id, via)
 }
 
 // QueueStats implements broker.Client.
@@ -817,6 +868,7 @@ type remoteConsumer struct {
 	ch       chan broker.Delivery
 	dead     chan struct{} // closed on Cancel: the forwarder must not block
 	once     sync.Once
+	attached atomic.Bool // first attach done; replay re-attaches from then on
 
 	mu     sync.Mutex
 	buf    []genDelivery
@@ -956,6 +1008,41 @@ func (rc *remoteConsumer) Ack(tag uint64) error {
 	payload = binary.LittleEndian.AppendUint64(payload, rc.id)
 	payload = binary.LittleEndian.AppendUint64(payload, tag)
 	return rc.c.simpleCall(payload, id)
+}
+
+// AckBatch settles several deliveries in one round trip — the fast
+// path the joiner's batched consume loop takes. Tags from a previous
+// connection are refused exactly as Ack refuses them; the remaining
+// tags are still settled, and the call then fails with
+// ErrStaleDelivery.
+func (rc *remoteConsumer) AckBatch(tags []uint64) error {
+	payload, id := rc.c.newRequest(opAckBatch)
+	payload = binary.LittleEndian.AppendUint64(payload, rc.id)
+	countAt := len(payload)
+	payload = binary.LittleEndian.AppendUint64(payload, 0)
+	gen := rc.c.gen.Load()
+	fresh, stale := 0, false
+	rc.mu.Lock()
+	for _, tag := range tags {
+		g, ok := rc.tags[tag]
+		delete(rc.tags, tag)
+		if !ok || g < gen {
+			stale = true
+			continue
+		}
+		payload = binary.LittleEndian.AppendUint64(payload, tag)
+		fresh++
+	}
+	rc.mu.Unlock()
+	var err error
+	if fresh > 0 {
+		binary.LittleEndian.PutUint64(payload[countAt:], uint64(fresh))
+		err = rc.c.simpleCall(payload, id)
+	}
+	if err == nil && stale {
+		err = ErrStaleDelivery
+	}
+	return err
 }
 
 // Nack implements broker.Consumer; see Ack for stale-delivery handling.

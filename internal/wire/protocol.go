@@ -9,6 +9,11 @@
 // slices are uvarint-length-prefixed. Requests carry a client-assigned
 // correlation id echoed by the matching reply. Deliveries are
 // server-initiated frames carrying the server-side consumer id.
+//
+// Socket I/O is batched on both ends: readers go through a buffered
+// reader, and frames queued by concurrent senders while a write is in
+// flight leave together in the next write (see frameWriter), so a
+// burst costs one syscall instead of one or two per frame.
 package wire
 
 import (
@@ -17,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"bistream/internal/broker"
 )
@@ -46,6 +52,12 @@ const (
 	// that deliver neither frames nor errors. Appended last so earlier
 	// opcode values stay stable.
 	opPing
+
+	// opAckBatch settles several deliveries of one consumer in a single
+	// round trip: consumerID, uint64 count, then count uint64 tags. The
+	// reply is an opReply carrying the first error, after every known
+	// tag has been settled.
+	opAckBatch
 )
 
 // maxFrame bounds a single frame; tuples are small, so anything larger
@@ -55,8 +67,13 @@ const maxFrame = 16 << 20
 // ErrFrameTooLarge is returned when a peer announces an oversized frame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one length-prefixed frame into a fresh buffer.
+func readFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto reads one length-prefixed frame, reusing buf when it is
+// large enough. The returned slice aliases buf, so it is only valid
+// until the next call; decoders copy every field they keep.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -68,7 +85,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	buf := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
@@ -79,21 +99,143 @@ func readFrame(r io.Reader) ([]byte, error) {
 // protocols built on the same framing (the broker replication stream).
 func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r) }
 
+// ReadFrameInto is ReadFrame reusing buf when it is large enough; the
+// result aliases buf and is valid until the next call.
+func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) { return readFrameInto(r, buf) }
+
 // WriteFrame writes one frame; the caller must serialize writes.
 // Exported for sibling protocols built on the same framing.
 func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
 
-// writeFrame writes one frame. The caller must serialize writes.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+// StartFrame reserves a frame header at the end of dst; append the
+// payload, then seal it with EndFrame. Frames built this way can be
+// batched into one buffer and sent with a single write.
+func StartFrame(dst []byte) ([]byte, int) {
+	return append(dst, 0, 0, 0, 0), len(dst)
+}
+
+// EndFrame patches the header reserved by StartFrame at start with the
+// length of the payload appended since.
+func EndFrame(dst []byte, start int) error {
+	n := len(dst) - start - 4
+	if n > maxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return nil
+}
+
+// appendFrame appends payload to dst as one complete frame.
+func appendFrame(dst, payload []byte) ([]byte, error) {
+	if len(payload) > maxFrame {
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...), nil
+}
+
+// writeFrame writes one frame with a single Write call, header and
+// payload together. The caller must serialize writes.
+func writeFrame(w io.Writer, payload []byte) error {
+	buf, err := appendFrame(make([]byte, 0, 4+len(payload)), payload)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err = w.Write(buf)
+	return err
+}
+
+// maxRetainedBuf caps the write buffers kept for reuse between bursts;
+// a rare oversized burst gets a buffer that is then dropped rather than
+// pinned for the life of the connection.
+const maxRetainedBuf = 64 << 10
+
+// maxPendingWrite bounds how many bytes senders may queue behind an
+// in-flight write before they block, so a stalled peer still
+// backpressures producers the way a blocking write did.
+const maxPendingWrite = 1 << 20
+
+// frameWriter serializes frames from concurrent senders onto one
+// connection and coalesces them: a sender appends its frame to the
+// pending buffer and, if no write is in flight, becomes the flusher and
+// writes everything pending — including frames other senders append
+// meanwhile — until the buffer is empty. Nothing waits on a timer: a
+// lone sender's frame leaves immediately. A write error is sticky and
+// closes the connection, so the read side notices and tears down; a
+// sender whose frame was queued behind a failing write learns of it
+// from that teardown (its request fails with ErrConnLost).
+type frameWriter struct {
+	conn    io.WriteCloser
+	mu      sync.Mutex
+	drained *sync.Cond // signalled after each write
+	buf     []byte     // frames queued for the next write
+	spare   []byte     // the buffer of the write in flight, reused next
+	busy    bool
+	err     error
+}
+
+func newFrameWriter(conn io.WriteCloser) *frameWriter {
+	fw := &frameWriter{conn: conn}
+	fw.drained = sync.NewCond(&fw.mu)
+	return fw
+}
+
+// send queues one frame carrying payload.
+func (fw *frameWriter) send(payload []byte) error {
+	fw.mu.Lock()
+	buf, err := appendFrame(fw.buf, payload)
+	if err != nil {
+		fw.mu.Unlock()
+		return err
+	}
+	fw.buf = buf
+	return fw.flushLocked()
+}
+
+// sendFramed queues bytes that already hold whole frames (built with
+// StartFrame/EndFrame).
+func (fw *frameWriter) sendFramed(frames []byte) error {
+	fw.mu.Lock()
+	fw.buf = append(fw.buf, frames...)
+	return fw.flushLocked()
+}
+
+// flushLocked is entered with mu held after queuing a frame and returns
+// with it released. It either hands the frame to the write in flight or
+// becomes the flusher.
+func (fw *frameWriter) flushLocked() error {
+	if fw.busy {
+		for fw.busy && fw.err == nil && len(fw.buf) > maxPendingWrite {
+			fw.drained.Wait()
+		}
+		err := fw.err
+		fw.mu.Unlock()
+		return err
+	}
+	fw.busy = true
+	for len(fw.buf) > 0 && fw.err == nil {
+		out := fw.buf
+		fw.buf = fw.spare[:0]
+		fw.mu.Unlock()
+		_, err := fw.conn.Write(out)
+		if err != nil {
+			fw.conn.Close()
+		}
+		fw.mu.Lock()
+		if cap(out) <= maxRetainedBuf {
+			fw.spare = out[:0]
+		} else {
+			fw.spare = nil
+		}
+		if err != nil {
+			fw.err = err
+		}
+		fw.drained.Broadcast()
+	}
+	fw.busy = false
+	fw.buf = fw.buf[:0]
+	err := fw.err
+	fw.mu.Unlock()
 	return err
 }
 
@@ -198,6 +340,25 @@ func (r *reader) bytes() []byte {
 	b := append([]byte(nil), r.buf[:n]...)
 	r.buf = r.buf[n:]
 	return b
+}
+
+// tags decodes a uint64 count followed by that many uint64 tags. The
+// count is checked against the bytes left before allocating, so a
+// corrupt count cannot force a huge allocation.
+func (r *reader) tags() []uint64 {
+	n := r.uint64()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.buf)/8) {
+		r.fail("tags")
+		return nil
+	}
+	tags := make([]uint64, n)
+	for i := range tags {
+		tags[i] = r.uint64()
+	}
+	return tags
 }
 
 func (r *reader) headers() map[string]string {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -128,12 +129,12 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// session is the per-connection state: its consumers and a write lock
-// serializing frames onto the socket.
+// session is the per-connection state: its consumers and the writer
+// that serializes (and coalesces) frames onto the socket.
 type session struct {
 	srv       *Server
 	conn      net.Conn
-	writeMu   sync.Mutex
+	out       *frameWriter
 	mu        sync.Mutex
 	consumers map[uint64]broker.Consumer
 	wg        sync.WaitGroup
@@ -141,10 +142,13 @@ type session struct {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	sess := &session{srv: s, conn: conn, consumers: make(map[uint64]broker.Consumer)}
+	sess := newSession(s, conn)
 	defer sess.teardown()
+	br := bufio.NewReader(conn)
+	var frame []byte
 	for {
-		frame, err := readFrame(conn)
+		var err error
+		frame, err = readFrameInto(br, frame)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("wire: connection %v: %v", conn.RemoteAddr(), err)
@@ -156,6 +160,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+func newSession(s *Server, conn net.Conn) *session {
+	return &session{srv: s, conn: conn, out: newFrameWriter(conn), consumers: make(map[uint64]broker.Consumer)}
 }
 
 func (sess *session) teardown() {
@@ -176,11 +184,7 @@ func (sess *session) teardown() {
 	sess.srv.mu.Unlock()
 }
 
-func (sess *session) send(payload []byte) error {
-	sess.writeMu.Lock()
-	defer sess.writeMu.Unlock()
-	return writeFrame(sess.conn, payload)
-}
+func (sess *session) send(payload []byte) error { return sess.out.send(payload) }
 
 func (sess *session) reply(reqID uint64, err error) error {
 	payload := []byte{opReply}
@@ -253,12 +257,25 @@ func (sess *session) handle(frame []byte) error {
 	case opConsume:
 		id := r.uint64() // client-assigned consumer id
 		queue := r.string()
-		prefetch := int(r.uvarint())
+		prefetch := r.uvarint()
 		autoAck := r.bool()
 		if r.err != nil {
 			return r.err
 		}
-		cons, err := b.Consume(queue, prefetch, autoAck)
+		if prefetch > maxPrefetch {
+			// The broker sizes the consumer's buffer by prefetch; an
+			// untrusted count must not choose that allocation.
+			return sess.reply(reqID, fmt.Errorf("wire: prefetch %d exceeds limit %d", prefetch, maxPrefetch))
+		}
+		sess.mu.Lock()
+		_, taken := sess.consumers[id]
+		sess.mu.Unlock()
+		if taken {
+			// Replacing the consumer would orphan its pump, which
+			// teardown could then never stop.
+			return sess.reply(reqID, fmt.Errorf("wire: consumer id %d already in use", id))
+		}
+		cons, err := b.Consume(queue, int(prefetch), autoAck)
 		if err != nil {
 			return sess.reply(reqID, err)
 		}
@@ -305,6 +322,17 @@ func (sess *session) handle(frame []byte) error {
 			err = c.Cancel()
 		}
 		return sess.reply(reqID, err)
+	case opAckBatch:
+		id := r.uint64()
+		tags := r.tags()
+		if r.err != nil {
+			return r.err
+		}
+		// Every session consumer comes from Broker.Consume, whose
+		// consumers settle a batch under one queue lock.
+		return sess.reply(reqID, sess.withConsumer(id, func(c broker.Consumer) error {
+			return c.(interface{ AckBatch([]uint64) error }).AckBatch(tags)
+		}))
 	case opPing:
 		if r.err != nil {
 			return r.err
@@ -340,29 +368,73 @@ func (sess *session) withConsumer(id uint64, fn func(broker.Consumer) error) err
 	return fn(c)
 }
 
-// pumpDeliveries forwards broker deliveries to the remote client. A
-// blocking socket write backpressures the broker's dispatcher, which is
-// exactly the flow control we want.
+// maxPrefetch bounds a remote consumer's prefetch window; like AMQP's
+// 16-bit prefetch-count, it keeps a client from sizing server buffers.
+const maxPrefetch = 1<<16 - 1
+
+// maxDeliverBurst bounds how many waiting deliveries one write carries.
+const maxDeliverBurst = 256
+
+// pumpDeliveries forwards broker deliveries to the remote client. Every
+// delivery already waiting when one arrives rides in the same write
+// (up to maxDeliverBurst); a lone delivery leaves at once. A stalled
+// socket still backpressures the broker's dispatcher — the session
+// writer blocks the pump once maxPendingWrite bytes are queued — which
+// is exactly the flow control we want.
 func (sess *session) pumpDeliveries(id uint64, cons broker.Consumer) {
 	defer sess.wg.Done()
-	for d := range cons.Deliveries() {
-		payload := []byte{opDeliver}
-		payload = binary.LittleEndian.AppendUint64(payload, id)
-		payload = binary.LittleEndian.AppendUint64(payload, d.Tag)
-		payload = append(payload, boolByte(d.Redelivered))
-		payload = appendString(payload, d.Queue)
-		payload = appendString(payload, d.Exchange)
-		payload = appendString(payload, d.RoutingKey)
-		payload = appendHeaders(payload, d.Headers)
-		payload = appendBytes(payload, d.Body)
-		if err := sess.send(payload); err != nil {
+	ch := cons.Deliveries()
+	var buf []byte
+	open := true
+	for open {
+		d, ok := <-ch
+		if !ok {
+			break
+		}
+		var err error
+		buf, err = appendDeliver(buf[:0], id, d)
+	burst:
+		for n := 1; n < maxDeliverBurst && err == nil; n++ {
+			select {
+			case d, ok = <-ch:
+				if !ok {
+					open = false
+					break burst
+				}
+				buf, err = appendDeliver(buf, id, d)
+			default:
+				break burst
+			}
+		}
+		if err == nil {
+			err = sess.out.sendFramed(buf)
+		}
+		if err != nil {
 			cons.Cancel()
 			return
+		}
+		if cap(buf) > maxRetainedBuf {
+			buf = nil
 		}
 	}
 	payload := []byte{opConsumerEOF}
 	payload = binary.LittleEndian.AppendUint64(payload, id)
 	_ = sess.send(payload)
+}
+
+// appendDeliver appends one opDeliver frame for d to dst.
+func appendDeliver(dst []byte, id uint64, d broker.Delivery) ([]byte, error) {
+	dst, start := StartFrame(dst)
+	dst = append(dst, opDeliver)
+	dst = binary.LittleEndian.AppendUint64(dst, id)
+	dst = binary.LittleEndian.AppendUint64(dst, d.Tag)
+	dst = append(dst, boolByte(d.Redelivered))
+	dst = appendString(dst, d.Queue)
+	dst = appendString(dst, d.Exchange)
+	dst = appendString(dst, d.RoutingKey)
+	dst = appendHeaders(dst, d.Headers)
+	dst = appendBytes(dst, d.Body)
+	return dst, EndFrame(dst, start)
 }
 
 // ListenAndServe is a convenience for cmd/brokerd: serve until the
